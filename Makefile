@@ -102,9 +102,12 @@ chaos-smoke:
 # outright when ChunkedStandard/ChunkedNonStandard allocs/op drift >20%
 # past the budgets recorded in BENCH_maintain.json. The bench-serve
 # -maintain row is the MVCC serve-during-maintenance check: query p99 with
-# epoch flips racing the load must stay within the guardrail multiple of
-# the idle p99 (BENCH_serve.json records 1.25x; the 3x gate is loose so CI
-# catches a lost snapshot path, not scheduler jitter).
+# epoch flips (a fixed 50/s) racing the load must stay within the guardrail
+# multiple of the idle p99 (BENCH_serve.json records 1.28x; the 3x gate is
+# loose so CI catches a lost snapshot path, not scheduler jitter).
+# BenchmarkVersionedCommit times a one-block epoch flip at the 256² and
+# 1024² block counts; TestVersionedCommitAllocsSizeIndependent fails when
+# the flip's allocations stop being independent of the store size.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \
@@ -115,6 +118,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMappedStoreRead|BenchmarkMappedVsFileWarmRead' \
 		-benchmem -benchtime 3x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'BenchmarkTileFlush' -benchmem -benchtime 3x ./internal/tile/
+	$(GO) test -run 'TestVersionedCommitAllocsSizeIndependent' -count=1 -v ./internal/storage/
+	$(GO) test -run '^$$' -bench 'BenchmarkVersionedCommit' -benchmem -benchtime 100x ./internal/storage/
 	$(GO) run ./cmd/shiftsplit bench-serve -maintain -clients 4 -duration 700ms -cache 512 -max-p99-ratio 3
 
 # A short write-path run that must show group commit actually amortizing:

@@ -187,11 +187,16 @@ func percentile(lats []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
+// maintainFlipsPerSec is the epoch-flip rate of bench-serve -maintain's
+// writer: low enough that a 1-core host keeps the schedule, high enough
+// that every query phase spans dozens of flips.
+const maintainFlipsPerSec = 50
+
 // cmdBenchServe is the load generator: it spins up an in-process server on a
 // loopback port, fires mixed queries from many goroutines for a fixed
 // duration, and reports throughput plus the cache hit rate. With -maintain
 // it runs the maintain-under-load scenario instead: three equal phases
-// (idle, maintenance flipping epochs at full speed, after), reporting query
+// (idle, maintenance flipping epochs at a fixed rate, after), reporting query
 // p50/p99 for each — the MVCC acceptance number is the maintain/idle p99
 // ratio.
 func cmdBenchServe(args []string) error {
@@ -202,7 +207,7 @@ func cmdBenchServe(args []string) error {
 	clients := fs.Int("clients", 8, "concurrent client goroutines")
 	dur := fs.Duration("duration", 3*time.Second, "measurement duration (per phase with -maintain)")
 	rangeFrac := fs.Int("range-pct", 30, "percent of queries that are range sums (rest are points)")
-	maintain := fs.Bool("maintain", false, "maintain-under-load: run SHIFT-SPLIT merge batches (epoch flips) at full speed during the middle phase; needs a versioned store")
+	maintain := fs.Bool("maintain", false, "maintain-under-load: run SHIFT-SPLIT merge batches (epoch flips) at a fixed rate during the middle phase; needs a versioned store")
 	maxRatio := fs.Float64("max-p99-ratio", 0, "with -maintain: fail when the maintain-phase p99 exceeds this multiple of the idle p99 (0 disables; the bench-smoke guardrail)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -263,8 +268,10 @@ func cmdBenchServe(args []string) error {
 	idleLats, idleN, idleFailed := benchPhase(base, shape, *clients, *dur, *rangeFrac, 1)
 
 	// Middle phase: one maintenance goroutine merges a delta in and back out
-	// as fast as the journal lets it — every iteration is a full epoch flip
-	// racing the query load.
+	// on an open-loop schedule of maintainFlipsPerSec — every iteration is a
+	// full epoch flip racing the query load. A fixed rate makes the scenario
+	// mean the same on every host; an unthrottled writer would flip faster
+	// the faster flips get and take a whole core from the readers.
 	blkEdge := 3 // 8^d-cell dyadic block
 	deltaShape := make([]int, len(shape))
 	pos := make([]int, len(shape))
@@ -283,12 +290,14 @@ func cmdBenchServe(args []string) error {
 	maintDone := make(chan error, 1)
 	go func() {
 		cur := dh
-		for {
+		start := time.Now()
+		for i := 0; ; i++ {
+			due := start.Add(time.Duration(i) * time.Second / maintainFlipsPerSec)
 			select {
 			case <-stopMaint:
 				maintDone <- nil
 				return
-			default:
+			case <-time.After(time.Until(due)):
 			}
 			if err := st.MergeBlock(blk, cur); err != nil {
 				maintDone <- err
@@ -317,8 +326,8 @@ func cmdBenchServe(args []string) error {
 	if idleP99 > 0 {
 		ratio = float64(maintP99) / float64(idleP99)
 	}
-	fmt.Printf("bench-serve -maintain: %d clients, %s per phase, %d epoch flips during load\n",
-		*clients, *dur, flips)
+	fmt.Printf("bench-serve -maintain: %d clients, %s per phase, %d epoch flips during load (%.0f flips/s, schedule %d/s)\n",
+		*clients, *dur, flips, float64(flips)/dur.Seconds(), maintainFlipsPerSec)
 	fmt.Printf("phase    queries  failed  p50        p99\n")
 	fmt.Printf("idle     %7d  %6d  %-9s  %s\n", idleN, idleFailed, idleP50, idleP99)
 	fmt.Printf("maintain %7d  %6d  %-9s  %s\n", maintN, maintFailed, maintP50, maintP99)

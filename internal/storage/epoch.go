@@ -79,8 +79,19 @@ type Versioned struct {
 	dirty   map[int]struct{} // table pages touched by the overlay
 	free    []int            // reclaimed physical data blocks, ascending
 	next    int              // physical allocation high-water mark
-	onReuse func(phys int)   // invoked when a freed physical id is reused
+	issued  int              // all-time high-water mark: ids below it may be cached
+	birth   []uint64         // physical id -> first epoch whose table maps it
+	pending []superseded     // remapped-away blocks some pinned old epoch may read
+	onReuse func(phys int)   // invoked when a previously issued physical id is reused
 	closed  bool
+}
+
+// superseded is a physical block an epoch flip remapped away from. It is
+// mapped by exactly the tables whose epoch lies in [birth[phys], death), so
+// it is free once no live table falls in that range.
+type superseded struct {
+	phys  int
+	death uint64 // the flip epoch: the first table that no longer maps phys
 }
 
 // NewVersioned builds the epoch layer over a single store used for both
@@ -122,15 +133,15 @@ func NewVersionedSplit(write, read BlockStore, logical int) (*Versioned, error) 
 }
 
 // OnReuse registers a hook called (under the allocation lock) whenever a
-// physical block from the free list is reused for a new epoch. The serving
-// cache drops its entry for that physical id here, which is the only cache
-// invalidation the epoch layer ever needs: a physical id is never rebound
-// while any live epoch still references it.
+// physical id this Versioned handed out before is handed out again — from
+// the free list, or from the high-water mark after reclamation trimmed it.
+// The serving cache drops its entry for that physical id here, which is the
+// only cache invalidation the epoch layer ever needs: a physical id is never
+// rebound while any live epoch still references it.
 func (v *Versioned) OnReuse(fn func(phys int)) { v.onReuse = fn }
 
 // load reads the superblock and remap table through the write path (open
-// runs before any concurrency) and rebuilds the free list and high-water
-// mark by sweeping the table.
+// runs before any concurrency) and rebuilds the allocator state from it.
 func (v *Versioned) load() error {
 	bs := v.write.BlockSize()
 	super := make([]float64, v.hdr*bs)
@@ -188,7 +199,43 @@ func (v *Versioned) load() error {
 	}
 	v.cur = &epochTable{epoch: epoch, phys: phys}
 	v.tables = []*epochTable{v.cur}
-	v.sweepLocked()
+	return v.scanTable()
+}
+
+// scanTable derives the allocator state from the loaded table — the only
+// pass over every logical block the layer makes: the high-water mark is
+// one past the highest mapped block, every unmapped id below it is free,
+// and every mapped block is born at the loaded epoch (no older table
+// survives a reopen). A physical block mapped twice is rejected: the
+// reclamation rule relies on each block having one logical owner.
+func (v *Versioned) scanTable() error {
+	high := v.dataBase
+	for _, p := range v.cur.phys {
+		if int(p) >= high {
+			high = int(p) + 1
+		}
+	}
+	used := make([]uint64, (high+63)/64)
+	for l, p := range v.cur.phys {
+		if p < 0 {
+			continue
+		}
+		w, bit := p/64, uint64(1)<<(p%64)
+		if used[w]&bit != 0 {
+			return fmt.Errorf("storage: versioned table maps physical %d twice (logical %d)", p, l)
+		}
+		used[w] |= bit
+	}
+	v.birth = make([]uint64, high)
+	v.free = v.free[:0]
+	for p := v.dataBase; p < high; p++ {
+		if used[p/64]&(1<<(p%64)) != 0 {
+			v.birth[p] = v.cur.epoch
+		} else {
+			v.free = append(v.free, p)
+		}
+	}
+	v.next, v.issued = high, high
 	return nil
 }
 
@@ -290,9 +337,11 @@ func (v *Versioned) ReadBlocks(ids []int, bufs [][]float64) error {
 
 // allocLocked picks the physical block for a logical write in the building
 // epoch: a block already written this epoch is rewritten in place (it is
-// invisible until Commit), otherwise the lowest free block is reused (after
-// letting the reuse hook drop stale cache entries), otherwise the file
-// grows at the high-water mark. Caller holds mu.
+// invisible until Commit), otherwise the lowest free block is reused,
+// otherwise the file grows at the high-water mark. Any id handed out before
+// — a free-list id, or a high-water id that reclamation trimmed off the
+// tail — first lets the reuse hook drop stale cache entries. Caller holds
+// mu.
 func (v *Versioned) allocLocked(id int) int {
 	if phys, ok := v.overlay[id]; ok {
 		return phys
@@ -301,13 +350,21 @@ func (v *Versioned) allocLocked(id int) int {
 	if len(v.free) > 0 {
 		phys = v.free[0]
 		v.free = v.free[1:]
+	} else {
+		phys = v.next
+		v.next++
+		for len(v.birth) < v.next {
+			v.birth = append(v.birth, 0)
+		}
+	}
+	if phys < v.issued {
 		if v.onReuse != nil {
 			v.onReuse(phys)
 		}
 	} else {
-		phys = v.next
-		v.next++
+		v.issued = phys + 1
 	}
+	v.birth[phys] = v.cur.epoch + 1
 	v.overlay[id] = phys
 	v.dirty[id/v.write.BlockSize()] = struct{}{}
 	return phys
@@ -388,8 +445,13 @@ func (v *Versioned) Commit() error {
 	bs := v.write.BlockSize()
 	next := &epochTable{epoch: v.cur.epoch + 1, phys: append([]int64(nil), v.cur.phys...)}
 	// Deterministic application order: the overlay and dirty sets are maps,
-	// but nothing numeric is folded in map order — entries land by index.
+	// but nothing numeric is folded in map order — entries land by index,
+	// and reclamation sorts what it frees.
+	var gone []superseded
 	for id, phys := range v.overlay {
+		if old := next.phys[id]; old >= 0 {
+			gone = append(gone, superseded{phys: int(old), death: next.epoch})
+		}
 		next.phys[id] = int64(phys)
 	}
 	dirtyPages := make([]int, 0, len(v.dirty))
@@ -449,7 +511,8 @@ func (v *Versioned) Commit() error {
 	if old.refs == 0 {
 		v.retireLocked(old)
 	}
-	v.sweepLocked()
+	v.pending = append(v.pending, gone...)
+	v.reclaimLocked()
 	return nil
 }
 
@@ -458,13 +521,17 @@ func (v *Versioned) Commit() error {
 func (v *Versioned) Rollback() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	staged := make([]int, 0, len(v.overlay))
+	for _, phys := range v.overlay {
+		staged = append(staged, phys)
+	}
 	v.overlay = make(map[int]int)
 	v.dirty = make(map[int]struct{})
 	type rollbacker interface{ Rollback() }
 	if rb, ok := v.write.(rollbacker); ok {
 		rb.Rollback()
 	}
-	v.sweepLocked()
+	v.freeLocked(staged)
 }
 
 // retireLocked removes a table from the live set. Caller holds mu.
@@ -477,37 +544,64 @@ func (v *Versioned) retireLocked(t *epochTable) {
 	}
 }
 
-// sweepLocked recomputes the free list and high-water mark from the live
-// tables and the building overlay: a data block referenced by none of them
-// is reclaimable. The sweep is deterministic (ascending ids), which the
-// crash campaigns rely on. Caller holds mu.
-func (v *Versioned) sweepLocked() {
-	used := make(map[int]struct{})
-	high := v.dataBase
-	mark := func(p int) {
-		used[p] = struct{}{}
-		if p+1 > high {
-			high = p + 1
+// reclaimLocked frees every pending block no live table maps any more:
+// one test of [birth, death) against each live table, so a flip costs
+// O(pending × live tables), never a pass over the logical space. Caller
+// holds mu.
+func (v *Versioned) reclaimLocked() {
+	var freed []int
+	kept := v.pending[:0]
+	for _, s := range v.pending {
+		if v.mappedLocked(s) {
+			kept = append(kept, s)
+		} else {
+			freed = append(freed, s.phys)
 		}
 	}
+	v.pending = kept
+	v.freeLocked(freed)
+}
+
+// mappedLocked reports whether a live table still maps a superseded block.
+// Caller holds mu.
+func (v *Versioned) mappedLocked(s superseded) bool {
+	born := v.birth[s.phys]
 	for _, t := range v.tables {
-		for _, p := range t.phys {
-			if p >= 0 {
-				mark(int(p))
-			}
+		if born <= t.epoch && t.epoch < s.death {
+			return true
 		}
 	}
-	for _, p := range v.overlay {
-		mark(p)
+	return false
+}
+
+// freeLocked merges ids into the ascending free list, then lowers the
+// high-water mark past any free tail, so the free set is always exactly
+// the unreferenced ids in [dataBase, next) — deterministic, which the
+// crash campaigns rely on. Caller holds mu.
+func (v *Versioned) freeLocked(ids []int) {
+	if len(ids) == 0 {
+		return
 	}
-	v.next = high
-	free := make([]int, 0, high-v.dataBase-len(used))
-	for p := v.dataBase; p < high; p++ {
-		if _, ok := used[p]; !ok {
-			free = append(free, p)
+	sort.Ints(ids)
+	// Merge from the back, in place: only free ids above the smallest
+	// freed one move.
+	i, j := len(v.free)-1, len(ids)-1
+	v.free = append(v.free, ids...)
+	for k := len(v.free) - 1; j >= 0; k-- {
+		if i >= 0 && v.free[i] > ids[j] {
+			v.free[k] = v.free[i]
+			i--
+		} else {
+			v.free[k] = ids[j]
+			j--
 		}
 	}
-	v.free = free
+	n := len(v.free)
+	for n > 0 && v.free[n-1] == v.next-1 {
+		n--
+		v.next--
+	}
+	v.free = v.free[:n]
 }
 
 // Acquire pins the current committed epoch and returns a Snapshot that
@@ -528,7 +622,7 @@ func (v *Versioned) release(t *epochTable) {
 	t.refs--
 	if t.refs == 0 && t != v.cur {
 		v.retireLocked(t)
-		v.sweepLocked()
+		v.reclaimLocked()
 	}
 }
 
@@ -558,35 +652,19 @@ type EpochStats struct {
 func (v *Versioned) Stats() EpochStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	st := EpochStats{Epoch: v.cur.epoch, OldestPinned: v.cur.epoch, FreeBlocks: len(v.free), PhysBlocks: v.next}
-	curUsed := make(map[int]struct{})
-	for _, p := range v.cur.phys {
-		if p >= 0 {
-			curUsed[int(p)] = struct{}{}
-		}
+	st := EpochStats{
+		Epoch:        v.cur.epoch,
+		OldestPinned: v.cur.epoch,
+		FreeBlocks:   len(v.free),
+		Reclaimable:  len(v.pending),
+		PhysBlocks:   v.next,
 	}
-	for _, p := range v.overlay {
-		curUsed[p] = struct{}{}
-	}
-	held := make(map[int]struct{})
 	for _, t := range v.tables {
 		st.Pinned += t.refs
 		if t.refs > 0 && t.epoch < st.OldestPinned {
 			st.OldestPinned = t.epoch
 		}
-		if t == v.cur {
-			continue
-		}
-		for _, p := range t.phys {
-			if p < 0 {
-				continue
-			}
-			if _, ok := curUsed[int(p)]; !ok {
-				held[int(p)] = struct{}{}
-			}
-		}
 	}
-	st.Reclaimable = len(held)
 	return st
 }
 

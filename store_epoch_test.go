@@ -1,6 +1,7 @@
 package shiftsplit
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -182,10 +183,12 @@ func TestVersionedStoreReopen(t *testing.T) {
 // TestSnapshotOracleUnderMaintenance is the -race acceptance test for the
 // tentpole: concurrent point, range, and full-transform queries during a
 // stream of SHIFT-SPLIT merge batches never observe a mid-batch state.
-// The writer alternates between two known transforms (merging a delta in
-// and back out), so the oracle is exact: every pinned snapshot must read a
-// transform equal — coefficient for coefficient — to one of the two
-// committed states.
+// The writer records the exact transform it committed at each epoch, so
+// the oracle is exact: every pinned snapshot must read a transform equal —
+// coefficient for coefficient — to the one committed at the epoch it
+// pinned. (The writer merges a delta in and back out, but +dh then −dh is
+// not bit-exact in floating point, so successive states are recorded, not
+// assumed.)
 func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	src := randArray(rng, 8, 8)
@@ -205,24 +208,34 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 	if err := st.TransformChunked(src, 2); err != nil {
 		t.Fatal(err)
 	}
-	preHat, err := st.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.MergeBlock(blk, dh); err != nil {
-		t.Fatal(err)
-	}
-	postHat, err := st.ReadTransform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.MergeBlock(blk, neg); err != nil {
-		t.Fatal(err)
-	}
 
+	// committed maps each epoch to the transform the writer committed there.
+	// Only the writer mutates the store, so a snapshot it takes right after
+	// a merge pins exactly the epoch that merge flipped to.
+	var mu sync.Mutex
+	committed := make(map[uint64]*Array)
+	record := func() {
+		t.Helper()
+		snap := st.AcquireSnapshot()
+		defer snap.Release()
+		got, err := snap.ReadTransform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		committed[snap.Epoch()] = got
+		mu.Unlock()
+	}
+	record()
+
+	// Each reader keeps the first transform it read at each epoch and
+	// requires every later read of that epoch to match it bit for bit; the
+	// first reads are checked against the writer's record once it is done.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	seen := make([]map[uint64]*Array, 6)
+	for g := range seen {
+		seen[g] = make(map[uint64]*Array)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -239,13 +252,13 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 					snap.Release()
 					return
 				}
-				if !equalExact(got, preHat) && !equalExact(got, postHat) {
-					t.Errorf("reader %d iter %d (epoch %d): observed a mid-batch transform", g, i, snap.Epoch())
+				if first, ok := seen[g][snap.Epoch()]; !ok {
+					seen[g][snap.Epoch()] = got
+				} else if !equalExact(got, first) {
+					t.Errorf("reader %d iter %d: epoch %d read two different transforms", g, i, snap.Epoch())
 					snap.Release()
 					return
 				}
-				// A point query through the same snapshot must agree with the
-				// full read — same pinned epoch, by construction.
 				p := []int{i % 8, (3 * i) % 8}
 				if _, _, err := snap.Point(p...); err != nil {
 					t.Error(err)
@@ -257,16 +270,30 @@ func TestSnapshotOracleUnderMaintenance(t *testing.T) {
 		}(g)
 	}
 
-	for round := 0; round < 30; round++ {
+	for round := 0; round < 31; round++ {
 		if err := st.MergeBlock(blk, dh); err != nil {
 			t.Fatal(err)
 		}
+		record()
 		if err := st.MergeBlock(blk, neg); err != nil {
 			t.Fatal(err)
 		}
+		record()
 	}
 	close(stop)
 	wg.Wait()
+
+	for g, byEpoch := range seen {
+		for epoch, got := range byEpoch {
+			want, ok := committed[epoch]
+			if !ok {
+				t.Fatalf("reader %d pinned epoch %d, which the writer never committed", g, epoch)
+			}
+			if !equalExact(got, want) {
+				t.Fatalf("reader %d (epoch %d): observed a mid-batch transform", g, epoch)
+			}
+		}
+	}
 
 	es, ok := st.EpochStats()
 	if !ok {
@@ -465,5 +492,70 @@ func TestVersionedCacheNoInvalidationStorm(t *testing.T) {
 	}
 	if after.Evictions != before.Evictions {
 		t.Fatalf("flip caused %d evictions", after.Evictions-before.Evictions)
+	}
+}
+
+// TestServeCacheReuseAfterTailTrim is the regression test for a stale serve
+// cache. Releasing a pin frees the old epoch's blocks; the next flips reuse
+// those and free the tail, which lowers the physical high-water mark, so a
+// later flip re-issues ids from the mark that the cache still holds from an
+// earlier epoch. Every snapshot read through the cache must match a plain
+// store that ran the same merges.
+func TestServeCacheReuseAfterTailTrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	src := randArray(rng, 16, 16)
+	path := filepath.Join(t.TempDir(), "reuse.wav")
+	st, err := CreateStore(StoreOptions{Shape: []int{16, 16}, Form: Standard, Path: path, Durable: true, Versioned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.TransformChunked(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := CreateStore(StoreOptions{Shape: []int{16, 16}, Form: Standard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if err := plain.TransformChunked(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	sv, err := OpenServing(path, 1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+
+	blk := CubeBlock(2, 1, 2)
+	merge := func(step string) {
+		t.Helper()
+		dh := Transform(randArray(rng, 4, 4), Standard)
+		if err := sv.MergeBlock(blk, dh); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.MergeBlock(blk, dh); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sv.ReadTransform() // pins the new epoch, fills the cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.ReadTransform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalExact(got, want) {
+			t.Fatalf("%s (epoch %d): cached snapshot read differs from the plain store", step, sv.CurrentEpoch())
+		}
+	}
+	for round := 0; round < 3; round++ {
+		pin := sv.AcquireSnapshot()
+		merge(fmt.Sprintf("round %d merge under pin", round))
+		pin.Release()
+		merge(fmt.Sprintf("round %d merge after release", round))
+		merge(fmt.Sprintf("round %d merge from trimmed tail", round))
 	}
 }
