@@ -108,8 +108,15 @@ chaos-smoke:
 # BenchmarkVersionedCommit times a one-block epoch flip at the 256² and
 # 1024² block counts; TestVersionedCommitAllocsSizeIndependent fails when
 # the flip's allocations stop being independent of the store size.
+# TestSnapshotQueryAllocs is the query path's allocation gate: a pinned
+# point or range sum on a warm durable, versioned serving stack must make
+# at most 4 allocs/op; BenchmarkSnapshot{Point,RangeSum}Warm time the same
+# calls (BENCH_serve.json records a baseline).
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/transform/
+	$(GO) test -run 'TestSnapshotQueryAllocs' -count=1 -v .
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPointWarm|BenchmarkSnapshotRangeSumWarm' \
+		-benchmem -benchtime 2000x .
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkedStandard|BenchmarkChunkedNonStandard' \
 		-benchmem -benchtime 3x ./internal/transform/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppender$$' -benchmem -benchtime 3x ./internal/appender/

@@ -265,9 +265,11 @@ func drains(pass *analysis.Pass, e *ast.UnaryExpr, r *resource) bool {
 }
 
 // escapes reports whether r leaves the function's custody: returned,
-// passed as a call argument, sent on a channel, aliased by assignment, or
-// captured by a closure. An escaped handle is its new owner's to close.
+// passed as a call argument, sent on a channel, aliased by assignment,
+// captured by a closure, or stored in a field of a composite literal whose
+// variable is returned. An escaped handle is its new owner's to close.
 func escapes(pass *analysis.Pass, body *ast.BlockStmt, r *resource) bool {
+	holders := literalHolders(pass, body, r)
 	esc := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if esc || n == r.create {
@@ -282,6 +284,11 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, r *resource) bool {
 				}
 				if containsObj(pass, e, r.obj) {
 					esc = true
+				}
+				for _, h := range holders {
+					if bareObj(pass, e, h) {
+						esc = true
+					}
 				}
 			}
 		case *ast.CallExpr:
@@ -327,6 +334,56 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, r *resource) bool {
 		return !esc
 	})
 	return esc
+}
+
+// literalHolders returns the local variables bound to a composite literal
+// that stores r in one of its fields or elements (`s := &T{f: f}`). Such a
+// literal does not hand r out by itself; returning the holder does, since
+// the caller then owns the struct that owns the handle.
+func literalHolders(pass *analysis.Pass, body *ast.BlockStmt, r *resource) []types.Object {
+	var out []types.Object
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident)
+			if !ok || id.Name == "_" || !literalStores(pass, rhs, r.obj) {
+				continue
+			}
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+				out = append(out, obj)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// literalStores reports whether e is a composite literal (or its address)
+// with obj as the value of one of its elements.
+func literalStores(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
+	e = ast.Unparen(e)
+	if un, ok := e.(*ast.UnaryExpr); ok && un.Op == token.AND {
+		e = ast.Unparen(un.X)
+	}
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			elt = kv.Value
+		}
+		if bareObj(pass, elt, obj) {
+			return true
+		}
+	}
+	return false
 }
 
 // bareObj reports whether e is exactly the variable (or its address).

@@ -118,3 +118,36 @@ func fileEscapesArg(path string) {
 	}
 	sink(f)
 }
+
+// fileHolder owns a file through a field, like a store over its device.
+type fileHolder struct {
+	f *os.File
+}
+
+func (h *fileHolder) check() error { return nil }
+
+// fileEscapesHolderField hands the file to the caller inside the returned
+// struct; the error path closes it before dropping the holder.
+func fileEscapesHolderField(path string) (*fileHolder, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	h := &fileHolder{f: f}
+	if err := h.check(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return h, nil
+}
+
+// fileLeakHolderDropped parks the file in a struct that never leaves the
+// function, so nothing closes it.
+func fileLeakHolderDropped(path string) error {
+	f, err := os.Open(path) // want `os\.File may reach a return without Close`
+	if err != nil {
+		return err
+	}
+	h := &fileHolder{f: f}
+	return h.check()
+}

@@ -207,7 +207,7 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 			return err
 		}
 	}
-	calls := make([]*call, len(ids)) // nil where the position was a hit
+	var calls []*call // nil where the position was a hit; nil on an all-hit batch
 	var ownIDs []int
 	var ownBufs [][]float64
 	var ownCalls []*call
@@ -222,6 +222,9 @@ func (c *Sharded) ReadBlocks(ids []int, bufs [][]float64) error {
 			continue
 		}
 		c.misses.Add(1)
+		if calls == nil {
+			calls = make([]*call, len(ids))
+		}
 		if cl, ok := sh.inflight[id]; ok {
 			calls[i] = cl // someone (possibly this batch) is loading it
 			sh.mu.Unlock()

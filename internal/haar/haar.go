@@ -108,20 +108,25 @@ type Coef struct {
 // reconstruct a[i] (Lemma 1) together with their +-1 weights: a[i] equals
 // the weighted sum of the referenced transform entries.
 func PointPath(n, i int) []Coef {
+	return AppendPointPath(make([]Coef, 0, n+1), n, i)
+}
+
+// AppendPointPath appends PointPath(n, i) to dst, in the same order, and
+// returns the extended slice. Hot query paths pass pooled scratch.
+func AppendPointPath(dst []Coef, n, i int) []Coef {
 	if i < 0 || i >= 1<<uint(n) {
 		panic(fmt.Sprintf("haar: PointPath(n=%d, i=%d) out of range", n, i))
 	}
-	path := make([]Coef, 0, n+1)
-	path = append(path, Coef{Index: 0, Weight: 1})
+	dst = append(dst, Coef{Index: 0, Weight: 1})
 	for j := 1; j <= n; j++ {
 		k := i >> uint(j)
 		w := 1.0
 		if i>>uint(j-1)&1 == 1 { // right child at level j-1
 			w = -1.0
 		}
-		path = append(path, Coef{Index: Index(n, j, k), Weight: w})
+		dst = append(dst, Coef{Index: Index(n, j, k), Weight: w})
 	}
-	return path
+	return dst
 }
 
 // ReconstructPoint evaluates a[i] from the transform using Lemma 1, touching
@@ -150,45 +155,71 @@ func PrefixSumCoefs(n, t int) []Coef {
 	}
 	out = append(out, Coef{Index: 0, Weight: float64(t)})
 	for j := 1; j <= n; j++ {
-		size := 1 << uint(j)
-		k := t / size
-		o := t % size
-		if o == 0 || k >= 1<<uint(n-j) {
-			continue
-		}
-		half := size / 2
-		// w[j,k] contributes +w to the first half of its support and -w to
-		// the second; a prefix ending o cells into the support picks up
-		// min(o,half) - max(0, o-half) copies.
-		weight := float64(bitutil.Min(o, half) - bitutil.Max(0, o-half))
-		if weight != 0 {
-			out = append(out, Coef{Index: Index(n, j, k), Weight: weight})
+		if k, w, ok := prefixDetail(n, t, j); ok {
+			out = append(out, Coef{Index: Index(n, j, k), Weight: w})
 		}
 	}
 	return out
 }
 
+// prefixDetail returns the one level-j detail w[j,k] the prefix sum S(t)
+// references, with its weight; ok is false when level j contributes
+// nothing (t falls on a level-j support boundary).
+func prefixDetail(n, t, j int) (k int, weight float64, ok bool) {
+	size := 1 << uint(j)
+	k = t / size
+	o := t % size
+	if o == 0 || k >= 1<<uint(n-j) {
+		return 0, 0, false
+	}
+	half := size / 2
+	// w[j,k] contributes +w to the first half of its support and -w to
+	// the second; a prefix ending o cells into the support picks up
+	// min(o,half) - max(0, o-half) copies.
+	weight = float64(bitutil.Min(o, half) - bitutil.Max(0, o-half))
+	return k, weight, weight != 0
+}
+
 // RangeSumCoefs returns the weighted coefficients answering the range sum
 // a[l] + ... + a[r] as the difference of two prefix sums, with weights for
 // shared coefficients merged. By Lemma 2 at most 2n+1 coefficients appear.
+// The order is deterministic (see AppendRangeSumCoefs), so evaluating the
+// same range twice sums the same terms in the same order.
 func RangeSumCoefs(n, l, r int) []Coef {
+	return AppendRangeSumCoefs(make([]Coef, 0, 2*n+1), n, l, r)
+}
+
+// AppendRangeSumCoefs appends RangeSumCoefs(n, l, r) to dst and returns the
+// extended slice. The two prefix paths S(r+1) and S(l) each reference at
+// most one detail per level, so they merge level by level without a map:
+// the overall average first, then levels 1..n, and within a level the
+// smaller translation first. A coefficient both paths share appears once
+// with the weights combined, and is dropped when they cancel.
+func AppendRangeSumCoefs(dst []Coef, n, l, r int) []Coef {
 	if l < 0 || r < l || r >= 1<<uint(n) {
 		panic(fmt.Sprintf("haar: RangeSumCoefs(n=%d, l=%d, r=%d) invalid", n, l, r))
 	}
-	weights := map[int]float64{}
-	for _, c := range PrefixSumCoefs(n, r+1) {
-		weights[c.Index] += c.Weight
-	}
-	for _, c := range PrefixSumCoefs(n, l) {
-		weights[c.Index] -= c.Weight
-	}
-	out := make([]Coef, 0, len(weights))
-	for idx, w := range weights {
-		if w != 0 {
-			out = append(out, Coef{Index: idx, Weight: w})
+	dst = append(dst, Coef{Index: 0, Weight: float64(r + 1 - l)})
+	for j := 1; j <= n; j++ {
+		kl, wl, okl := prefixDetail(n, l, j)
+		kr, wr, okr := prefixDetail(n, r+1, j)
+		switch {
+		case okl && okr && kl == kr:
+			if w := wr - wl; w != 0 {
+				dst = append(dst, Coef{Index: Index(n, j, kl), Weight: w})
+			}
+		default:
+			// The lower prefix ends at or before the upper one, so its
+			// translation is the smaller.
+			if okl {
+				dst = append(dst, Coef{Index: Index(n, j, kl), Weight: -wl})
+			}
+			if okr {
+				dst = append(dst, Coef{Index: Index(n, j, kr), Weight: wr})
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 // RangeSum evaluates a[l] + ... + a[r] directly from the transform.

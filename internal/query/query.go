@@ -11,7 +11,6 @@ import (
 
 	"github.com/shiftsplit/shiftsplit/internal/haar"
 	"github.com/shiftsplit/shiftsplit/internal/tile"
-	"github.com/shiftsplit/shiftsplit/internal/wavelet"
 )
 
 // PointStandard answers a point query from a materialized standard-form
@@ -20,6 +19,33 @@ import (
 // block is read. The store must have been filled with
 // tile.MaterializeStandard.
 func PointStandard(st *tile.Store, point []int) (float64, int, error) {
+	v, _, err := pointStandard(st, point)
+	if err != nil {
+		return 0, 0, err
+	}
+	return v, 1, nil
+}
+
+// PointBatchStandard answers many point queries from a materialized
+// standard-form store, one leaf block per point, returning the values and
+// the number of distinct leaf blocks read.
+func PointBatchStandard(st *tile.Store, points [][]int) ([]float64, int, error) {
+	sc := getScratch(1)
+	defer scratchPool.Put(sc)
+	out := make([]float64, len(points))
+	for i, p := range points {
+		v, block, err := pointStandard(st, p)
+		if err != nil {
+			return nil, sc.distinctIDs(), err
+		}
+		out[i] = v
+		sc.ids = append(sc.ids, block)
+	}
+	return out, sc.distinctIDs(), nil
+}
+
+// pointStandard is PointStandard, returning the id of the block it read.
+func pointStandard(st *tile.Store, point []int) (float64, int, error) {
 	tiling, ok := st.Tiling().(*tile.Standard)
 	if !ok {
 		return 0, 0, fmt.Errorf("query: PointStandard needs a *Standard tiling, got %T", st.Tiling())
@@ -89,7 +115,7 @@ func PointStandard(st *tile.Store, point []int) (float64, int, error) {
 			choice[t] = 0
 		}
 		if t < 0 {
-			return sum, 1, nil
+			return sum, block, nil
 		}
 	}
 }
@@ -159,31 +185,10 @@ func PointViaRootPath(st *tile.Store, shape, point []int) (float64, int, error) 
 	if err := ValidatePoint(shape, point); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
-	coefs := wavelet.PointPathStandard(shape, point)
-	if err := preload(st, reader, coefs); err != nil {
-		return 0, reader.BlocksRead(), err
-	}
-	sum := 0.0
-	for _, c := range coefs {
-		v, err := reader.Get(c.Coords)
-		if err != nil {
-			return 0, reader.BlocksRead(), err
-		}
-		sum += c.Weight * v
-	}
-	return sum, reader.BlocksRead(), nil
-}
-
-// preload batch-loads the distinct blocks a coefficient set touches with
-// one vectored read. The set — hence BlocksRead — is identical to what the
-// per-coefficient loop would load one block at a time.
-func preload(st *tile.Store, reader *tile.Reader, coefs []wavelet.Coef) error {
-	blocks := make([]int, len(coefs))
-	for i, c := range coefs {
-		blocks[i], _ = st.Tiling().Locate(c.Coords)
-	}
-	return reader.Preload(blocks)
+	sc := getScratch(len(shape))
+	defer scratchPool.Put(sc)
+	sc.pointLists(shape, point)
+	return sc.evaluate(st)
 }
 
 // RangeSumStandard answers a box aggregate over [start, start+shape) by
@@ -193,20 +198,10 @@ func RangeSumStandard(st *tile.Store, arrShape, start, shape []int) (float64, in
 	if err := ValidateBox(arrShape, start, shape); err != nil {
 		return 0, 0, err
 	}
-	reader := tile.NewReader(st)
-	coefs := wavelet.RangeSumCoefsStandard(arrShape, start, shape)
-	if err := preload(st, reader, coefs); err != nil {
-		return 0, reader.BlocksRead(), err
-	}
-	sum := 0.0
-	for _, c := range coefs {
-		v, err := reader.Get(c.Coords)
-		if err != nil {
-			return 0, reader.BlocksRead(), err
-		}
-		sum += c.Weight * v
-	}
-	return sum, reader.BlocksRead(), nil
+	sc := getScratch(len(arrShape))
+	defer scratchPool.Put(sc)
+	sc.rangeLists(arrShape, start, shape)
+	return sc.evaluate(st)
 }
 
 // RangeSumNonStandard answers a box aggregate from a non-standard tiled
@@ -303,35 +298,33 @@ func RangeSumNonStandard(st *tile.Store, start, shape []int) (float64, int, erro
 }
 
 // PointBatch answers many point queries against a standard-form tiled store
-// with one shared block cache, returning the values and the number of
-// distinct blocks read for the whole batch. Batching amortizes the shared
-// upper-tree tiles across queries — the access-pattern benefit the tiling
-// was designed for.
+// with one vectored read of the union of their blocks, returning the values
+// and the number of distinct blocks read for the whole batch. Batching
+// amortizes the shared upper-tree tiles across queries — the access-pattern
+// benefit the tiling was designed for.
 func PointBatch(st *tile.Store, shape []int, points [][]int) ([]float64, int, error) {
-	reader := tile.NewReader(st)
-	out := make([]float64, len(points))
-	paths := make([][]wavelet.Coef, len(points))
-	var all []wavelet.Coef
-	for i, p := range points {
+	for _, p := range points {
 		if err := ValidatePoint(shape, p); err != nil {
-			return nil, reader.BlocksRead(), err
+			return nil, 0, err
 		}
-		paths[i] = wavelet.PointPathStandard(shape, p)
-		all = append(all, paths[i]...)
 	}
-	if err := preload(st, reader, all); err != nil {
-		return nil, reader.BlocksRead(), err
+	sc := getScratch(len(shape))
+	defer scratchPool.Put(sc)
+	ends := make([]int, len(points))
+	for i, p := range points {
+		sc.pointLists(shape, p)
+		sc.located(st.Tiling())
+		ends[i] = len(sc.cells)
 	}
-	for i := range points {
-		sum := 0.0
-		for _, c := range paths[i] {
-			v, err := reader.Get(c.Coords)
-			if err != nil {
-				return nil, reader.BlocksRead(), err
-			}
-			sum += c.Weight * v
-		}
-		out[i] = sum
+	sc.resolve(st.Tiling().BlockSize())
+	if err := sc.read(st); err != nil {
+		return nil, 0, err
 	}
-	return out, reader.BlocksRead(), nil
+	out := make([]float64, len(points))
+	from := 0
+	for i, to := range ends {
+		out[i] = sc.sum(from, to)
+		from = to
+	}
+	return out, len(sc.ids), nil
 }

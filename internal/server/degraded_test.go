@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -64,20 +63,7 @@ func rotWrittenFrame(t testing.TB, path string, blockSize int) int {
 	if bad < 0 {
 		t.Fatal("no written frame to rot")
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	off := int64(bad)*int64(8*(blockSize+storage.ChecksumOverhead)) + 3
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x40
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
+	rotFrameAt(t, path, blockSize, bad)
 	return bad
 }
 

@@ -60,20 +60,22 @@ func (d *Degraded) ReadBlock(id int, buf []float64) error {
 }
 
 // ReadBlocks zero-fills the quarantined subset of the batch and forwards
-// the rest as one vectored read. When the inner read reports corruption it
-// names only the first bad frame, so the miss set is re-verified to
-// quarantine every corrupt block the batch touched before the error
-// surfaces.
+// the rest as one vectored read; a batch with no quarantined block is
+// forwarded as it is. When the inner read reports corruption it names only
+// the first bad frame, so the miss set is re-verified to quarantine every
+// corrupt block the batch touched before the error surfaces.
 func (d *Degraded) ReadBlocks(ids []int, bufs [][]float64) error {
-	var missIDs []int
-	var missBufs [][]float64
-	for i, id := range ids {
-		if d.q.Has(id) {
-			ZeroFill(bufs[i])
-			d.degradedReads.Add(1)
-		} else {
-			missIDs = append(missIDs, id)
-			missBufs = append(missBufs, bufs[i])
+	missIDs, missBufs := ids, bufs
+	if d.q.HasAny(ids) {
+		missIDs, missBufs = nil, nil
+		for i, id := range ids {
+			if d.q.Has(id) {
+				ZeroFill(bufs[i])
+				d.degradedReads.Add(1)
+			} else {
+				missIDs = append(missIDs, id)
+				missBufs = append(missBufs, bufs[i])
+			}
 		}
 	}
 	if len(missIDs) == 0 {

@@ -128,3 +128,43 @@ func TestDegradedWriteHeals(t *testing.T) {
 		t.Fatal("healed reads counted as degraded")
 	}
 }
+
+// TestDegradedFastPathStillCatchesFreshCorruption covers the forwarding
+// path: a batch holding no quarantined block goes to the inner store as it
+// is, and the first read of fresh corruption through it must still fail
+// and quarantine the block — with the registry empty, and with it holding
+// blocks outside the batch.
+func TestDegradedFastPathStillCatchesFreshCorruption(t *testing.T) {
+	for _, held := range [][]int{nil, {7}} {
+		inner, _, dg, q := degradedStack(t, 8)
+		for _, id := range held {
+			q.Add(id, "test")
+		}
+		rotFrame(t, inner, 2)
+		ids := []int{0, 1, 2, 3}
+		bufs := SliceFrames(make([]float64, 16), 4, 4)
+		if err := dg.ReadBlocks(ids, bufs); !errors.Is(err, ErrCorruption) {
+			t.Fatalf("held %v: first batch err = %v, want corruption", held, err)
+		}
+		if !q.Has(2) || q.Len() != 1+len(held) {
+			t.Fatalf("held %v: quarantine after first batch = %v", held, q.Snapshot())
+		}
+		if err := dg.ReadBlocks(ids, bufs); err != nil {
+			t.Fatalf("held %v: second batch must degrade: %v", held, err)
+		}
+		if bufs[2][0] != 0 || bufs[1][0] != 1 || bufs[3][0] != 3 || dg.DegradedReads() != 1 {
+			t.Fatalf("held %v: second batch = %v, degraded reads %d", held, bufs, dg.DegradedReads())
+		}
+	}
+}
+
+func TestQuarantineHasAny(t *testing.T) {
+	q := NewQuarantine()
+	if q.HasAny([]int{0, 1, 2}) {
+		t.Fatal("empty registry reports a quarantined block")
+	}
+	q.Add(5, "test")
+	if q.HasAny([]int{0, 1, 2}) || !q.HasAny([]int{4, 5}) || q.HasAny(nil) {
+		t.Fatal("HasAny disagrees with the registry")
+	}
+}

@@ -84,6 +84,8 @@ type Versioned struct {
 	pending []superseded     // remapped-away blocks some pinned old epoch may read
 	onReuse func(phys int)   // invoked when a previously issued physical id is reused
 	closed  bool
+
+	batches sync.Pool // *physBatch scratch for Snapshot.ReadBlocks
 }
 
 // superseded is a physical block an epoch flip remapped away from. It is
@@ -798,23 +800,46 @@ func (s *Snapshot) ReadBlocks(ids []int, bufs [][]float64) error {
 	if err := checkBatchArgs(s, ids, bufs); err != nil {
 		return err
 	}
-	physIDs := make([]int, 0, len(ids))
-	physBufs := make([][]float64, 0, len(ids))
+	sc := s.v.getScratch()
+	defer s.v.putScratch(sc)
 	for i, id := range ids {
 		if err := s.v.checkLogical(id); err != nil {
 			return err
 		}
 		if phys := s.t.phys[id]; phys >= 0 {
-			physIDs = append(physIDs, int(phys))
-			physBufs = append(physBufs, bufs[i])
+			sc.ids = append(sc.ids, int(phys))
+			sc.bufs = append(sc.bufs, bufs[i])
 		} else {
 			ZeroFill(bufs[i])
 		}
 	}
-	if len(physIDs) == 0 {
+	if len(sc.ids) == 0 {
 		return nil
 	}
-	return ReadBlocksOf(s.v.read, physIDs, physBufs)
+	return ReadBlocksOf(s.v.read, sc.ids, sc.bufs)
+}
+
+// physBatch is a snapshot read's physical id and buffer lists, pooled so
+// the warm read path does not allocate per batch.
+type physBatch struct {
+	ids  []int
+	bufs [][]float64
+}
+
+func (v *Versioned) getScratch() *physBatch {
+	sc, ok := v.batches.Get().(*physBatch)
+	if !ok {
+		return new(physBatch)
+	}
+	sc.ids, sc.bufs = sc.ids[:0], sc.bufs[:0]
+	return sc
+}
+
+// putScratch returns a batch to the pool without keeping the caller's
+// buffers reachable from it.
+func (v *Versioned) putScratch(sc *physBatch) {
+	clear(sc.bufs)
+	v.batches.Put(sc)
 }
 
 // WriteBlock fails: snapshots are immutable.

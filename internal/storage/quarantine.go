@@ -95,6 +95,22 @@ func (q *Quarantine) Has(id int) bool {
 	return held
 }
 
+// HasAny reports whether any of ids is quarantined, under one lock
+// acquisition.
+func (q *Quarantine) HasAny(ids []int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.bad) == 0 {
+		return false
+	}
+	for _, id := range ids {
+		if _, held := q.bad[id]; held {
+			return true
+		}
+	}
+	return false
+}
+
 // Len returns how many blocks are quarantined.
 func (q *Quarantine) Len() int {
 	q.mu.Lock()

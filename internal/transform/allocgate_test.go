@@ -1,3 +1,9 @@
+//go:build !race
+
+// The race detector instruments allocations, so allocs/op under -race
+// overstate the real figure; the budgets are measured in non-race builds
+// only (make bench-smoke runs this file without -race).
+
 package transform
 
 import (

@@ -188,33 +188,7 @@ func (sn *Snapshot) Points(points [][]int) ([]float64, int, error) {
 	s := sn.st
 	if sn.materialized && s.opts.Form == Standard {
 		// Single-tile queries: distinct leaf tiles dominate the cost.
-		out := make([]float64, len(points))
-		seen := make(map[int]struct{})
-		blocks := 0
-		for i, p := range points {
-			v, _, err := query.PointStandard(sn.ts, p)
-			if err != nil {
-				return nil, blocks, err
-			}
-			out[i] = v
-			// Count distinct leaf tiles for the I/O figure.
-			tiling := s.tiling.(*tile.Standard)
-			block := 0
-			for t := 0; t < tiling.Dims(); t++ {
-				oneD := tiling.Dim(t)
-				leafBlock := 0
-				if n := oneD.Levels(); n > 0 {
-					idx := 1<<uint(n-1) + p[t]/2 // the level-1 detail over p
-					leafBlock, _ = oneD.Locate1D(idx)
-				}
-				block = block*oneD.NumBlocks() + leafBlock
-			}
-			if _, dup := seen[block]; !dup {
-				seen[block] = struct{}{}
-				blocks++
-			}
-		}
-		return out, blocks, nil
+		return query.PointBatchStandard(sn.ts, points)
 	}
 	if s.opts.Form == Standard {
 		return query.PointBatch(sn.ts, s.opts.Shape, points)
